@@ -29,22 +29,17 @@ fmt:
 lint: fmt
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
-# The parallel solver, the cancellation/panic-isolation machinery, and the
-# HTTP front-end under the race detector. The full -race ./... run is slow
-# on small hosts; this target covers every package that spawns goroutines.
+# The race detector over every goroutine-spawning package plus the chaos
+# re-run, and the short fuzz pass over each parity fuzzer: both stages are
+# defined once, in ci.sh (the regression corpus of every fuzzer always runs
+# as part of `make test`).
 race:
-	$(GO) test -race ./internal/bpmax/ ./internal/nussinov/ ./internal/fourrussians/ . ./cmd/bpmax/ ./cmd/bpmaxd/
+	./ci.sh race
 
 ci: build test vet lint race smoke
 
-# Short fuzz pass over each fuzz target (regression corpus always runs as
-# part of `make test`).
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzFoldContextParity -fuzztime 20s .
-	$(GO) test -run '^$$' -fuzz FuzzPooledParity -fuzztime 20s .
-	$(GO) test -run '^$$' -fuzz FuzzFold -fuzztime 20s .
-	$(GO) test -run '^$$' -fuzz FuzzFastaRoundTrip -fuzztime 10s .
-	$(GO) test -run '^$$' -fuzz FuzzFourRussiansParity -fuzztime 20s ./internal/fourrussians/
+	./ci.sh fuzz
 
 # Server smoke: boot bpmaxd on a random port, replay the committed trace
 # with bpmaxload -check, SIGTERM, assert a clean drain. Writes the serving

@@ -46,8 +46,49 @@ func TestPartitionFoldBasics(t *testing.T) {
 		if res.Metrics.Algebra != string(AlgebraPartition) {
 			t.Fatalf("metrics algebra = %q", res.Metrics.Algebra)
 		}
+		if res.Metrics.PartitionDomain != "scaled" {
+			t.Fatalf("metrics partition domain = %q, want scaled", res.Metrics.PartitionDomain)
+		}
 		if res.Score != 0 {
 			t.Fatalf("partition Score = %v, want 0 (undefined)", res.Score)
+		}
+	}
+}
+
+// TestPartitionSubLogZScaledMatchesLogDomain: the default schedule fills
+// partition tables in the scaled probability domain; LogZ and every
+// SubLogZ cell it serves must read, as log values, within 1e-12 relative of
+// the base schedule, which always fills in the log domain. kT = 1e-3 sends
+// the default schedule to its log fallback, kT = 1 and 100 keep it scaled.
+func TestPartitionSubLogZScaledMatchesLogDomain(t *testing.T) {
+	const s1, s2 = "GGGAAACCUA", "GGGUUUCCCAUGCAUCGAUGGCUAGCUAGCUAGG"
+	for _, kT := range []float64{1e-3, 1, 100} {
+		opts := []Option{WithAlgebra(AlgebraPartition), WithKT(kT)}
+		got, err := Fold(s1, s2, opts...)
+		if err != nil {
+			t.Fatalf("kT=%g: %v", kT, err)
+		}
+		want, err := Fold(s1, s2, append(opts, WithVariant(Base))...)
+		if err != nil {
+			t.Fatalf("kT=%g base: %v", kT, err)
+		}
+		rel := func(a, b float64) float64 {
+			return math.Abs(a-b) / math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+		}
+		if e := rel(got.LogZ, want.LogZ); e > 1e-12 || math.IsNaN(got.LogZ) {
+			t.Fatalf("kT=%g: LogZ %v, log domain %v (rel err %.3g)", kT, got.LogZ, want.LogZ, e)
+		}
+		for i1 := 0; i1 < got.N1; i1++ {
+			for j1 := i1; j1 < got.N1; j1++ {
+				for i2 := 0; i2 < got.N2; i2++ {
+					for j2 := i2; j2 < got.N2; j2++ {
+						g, w := got.SubLogZ(i1, j1, i2, j2), want.SubLogZ(i1, j1, i2, j2)
+						if e := rel(g, w); e > 1e-12 || math.IsNaN(g) || math.IsInf(g, 0) {
+							t.Fatalf("kT=%g: SubLogZ(%d,%d,%d,%d) = %v, log domain %v", kT, i1, j1, i2, j2, g, w)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -85,8 +85,9 @@ const (
 	// Result.Score is the optimal weighted pair count and Structure recovers
 	// one optimum by traceback.
 	AlgebraMaxPlus Algebra = "maxplus"
-	// AlgebraPartition is BPPart: log-sum-exp over float64 with every pair
-	// weight Boltzmann-scaled to w/kT (see WithKT). Result.LogZ is the log
+	// AlgebraPartition is BPPart: the sum over derivations in float64 with
+	// every pair weight Boltzmann-scaled to w/kT (see WithKT), filled in the
+	// scaled probability domain with a log-sum-exp fallback at extreme kT. Result.LogZ is the log
 	// of the derivation-weighted ensemble sum; it upper-bounds Score/kT
 	// (lse ≥ max pointwise) and kT·LogZ → Score as kT → 0. Score,
 	// Structure, BestLocal and windowed scans are max-plus notions and are
@@ -404,7 +405,7 @@ func (r *Result) SubLogZ(i1, j1, i2, j2 int) float64 {
 	case j2 < i2:
 		return r.ps.S1.At(i1, j1)
 	}
-	return r.ft64.At(i1, j1, i2, j2)
+	return ibpmax.PartitionLogAt(r.ft64, i1, j1, i2, j2)
 }
 
 func (r *Result) at(i1, j1, i2, j2 int) float32 {

@@ -64,13 +64,19 @@ run_fuzz() (
     # Fuzz smoke over the pooled/context/cached parity fuzzers — the paths
     # the pipeline's reuse layers ride on — the semiring-generic fuzzer that
     # pins the generic max-plus fill bit-identical to the pre-refactor
-    # reference, and the Four-Russians substrate bit-identity fuzzer that
-    # lets the fast path share cache entries with the classic fill.
+    # reference, the partition domain fuzzer that pins the scaled
+    # probability-domain fill to the log-sum-exp fill (and its fallback bit
+    # for bit), the Four-Russians substrate bit-identity fuzzer that lets the
+    # fast path share cache entries with the classic fill, and the public
+    # fold and FASTA round-trip fuzzers.
     go test -run '^$' -fuzz FuzzPooledParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzSemiringMaxPlusParity -fuzztime 10s ./internal/bpmax/
+    go test -run '^$' -fuzz FuzzPartitionDomainParity -fuzztime 10s ./internal/bpmax/
     go test -run '^$' -fuzz FuzzFoldContextParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzCachedFoldParity -fuzztime 10s .
     go test -run '^$' -fuzz FuzzFourRussiansParity -fuzztime 10s ./internal/fourrussians/
+    go test -run '^$' -fuzz 'FuzzFold$' -fuzztime 10s .
+    go test -run '^$' -fuzz FuzzFastaRoundTrip -fuzztime 10s .
 )
 
 # Server smoke: boot bpmaxd on a random port, replay the committed trace

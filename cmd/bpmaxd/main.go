@@ -45,6 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sync"
 	"syscall"
 	"time"
@@ -61,6 +62,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bpmaxd:", err)
 		os.Exit(1)
 	}
+}
+
+// gcHeadroom is the garbage the collector may accumulate above a full
+// result cache before it runs; see cacheGCPercent.
+const gcHeadroom = 64 << 20
+
+// cacheGCPercent paces the garbage collector against a result-cache budget.
+// A full cache is long-lived heap, and at the runtime's default GOGC=100
+// the heap grows to twice the live set before each collection, so a 128MB
+// cache alone costs about 256MB of resident memory (the max-plus screen
+// benchmark workload read 294MB). Scaling GOGC to gcHeadroom/(budget +
+// gcHeadroom) keeps the collector's headroom near gcHeadroom whatever the
+// budget. The cached tables are pointer-free, so the extra collections
+// mark little. A GOGC set in the environment wins over this default.
+func cacheGCPercent(budget int64) int {
+	return max(10, int(100*gcHeadroom/(budget+gcHeadroom)))
 }
 
 // run serves until ctx is cancelled (signal) and the drain completes.
@@ -107,6 +124,9 @@ func run(ctx context.Context, args []string, logw *os.File) error {
 		return err
 	}
 	defer comps.Close()
+	if budget, _ := cliflags.ParseBytes(serving.Cache); budget > 0 && os.Getenv("GOGC") == "" {
+		defer debug.SetGCPercent(debug.SetGCPercent(cacheGCPercent(budget)))
+	}
 	options := comps.Options
 	var mtr *bpmax.Metrics
 	if *foldMetrics {

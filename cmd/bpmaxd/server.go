@@ -295,6 +295,11 @@ func (s *server) handleFold(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeError(w, r, err)
 	}
+	// The response copies every value it needs out of the result (the
+	// traceback's brackets are immutable strings), and neither the trace
+	// ring nor the access log keeps a reference to it, so the pooled tables
+	// go back to the session's pool once the body is encoded.
+	defer res.Release()
 	out := foldResponse{
 		Score:       res.Score,
 		N1:          res.N1,
@@ -355,6 +360,7 @@ func (s *server) handleScan(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.writeError(w, r, err)
 	}
+	defer res.Release() // the response copies the scan's values; see handleFold
 	return s.writeJSON(w, r, http.StatusOK, scanResponse{
 		Best: res.Best,
 		I1:   res.I1, J1: res.J1, I2: res.I2, J2: res.J2,
@@ -406,6 +412,13 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) int {
 	ctx, cancel := s.requestContext(r, req.TimeoutMs)
 	defer cancel()
 	results := s.session.FoldBatchWith(ctx, items, s.cfg.BatchWorkers, algebraOptions(req.Algebra, req.KT)...)
+	// Items are copied into the response by value; release every result
+	// once the body is encoded (see handleFold).
+	defer func() {
+		for _, br := range results {
+			br.Result.Release()
+		}
+	}()
 	out := struct {
 		Results []batchItemResponse `json:"results"`
 		Failed  int                 `json:"failed"`

@@ -8,29 +8,39 @@ import (
 // kernels plus the problem's score and substrate tables already expressed
 // in the semiring's scalar and ⊗ scale. The generic fill never touches
 // Problem's float32 tables directly — it reads these slices — so the same
-// schedule code serves (max, +) over float32 and log-sum-exp over float64.
+// schedule code serves (max, +) over float32 and both partition views
+// (log-sum-exp and scaled sum-product) over float64.
 //
-// The generic kernels exploit one structural fact shared by the whole
-// BPMax algebra family: ⊗ is scalar addition in the working domain
-// (max-plus adds weights; the log-domain partition semiring adds
-// log-Boltzmann factors). That is why the fill can use native `+` for ⊗
-// and reserve the indirect call for ⊕ — and why the element types are
-// constrained to semiring.Scalar.
+// ⊗ differs between instantiations: it is scalar addition for max-plus and
+// for the log-domain partition semiring, and multiplication for the scaled
+// probability-domain partition view. The streaming kernels and the per-cell
+// finalize therefore never spell ⊗ as a native operator: the streams take
+// it from the kernel bundle, and each hot instantiation has a specialised
+// finalize body (finalizeMaxPlusTriangle, finalizeSumProductTriangle) that
+// applies its own ⊕ and ⊗ without a func-value call per cell. The base and
+// reference schedules are the exception — they spell ⊗ as `+` and are only
+// ever instantiated over max-plus and log-sum-exp, where that holds.
 //
 // An alg is a value type: slices reference the owner's storage (Problem
-// tables for max-plus, PartitionSub tables for log-sum-exp), so building
-// one allocates nothing.
+// tables for max-plus, PartitionSub tables for log-sum-exp, a per-fold
+// scratch buffer for the scaled probability view), so building one
+// allocates nothing.
 type alg[T semiring.Scalar] struct {
 	k semiring.Kernels[T]
 	// s1, s2 are the single-strand substrate tables, row-major n×n bounding
-	// boxes with zero (= One, for both supported semirings) diagonal-below
-	// cells — the layout nussinov.Table and nussinov.GTable share.
+	// boxes (the layout nussinov.Table and nussinov.GTable share). Only the
+	// cells j >= i are read; empty intervals resolve through s1At/s2At.
 	s1, s2 []T
 	// sc1, sc2 are the intramolecular pair scores (row-major n×n); isc the
-	// intermolecular matrix (n1×n2). All in ⊗ scale: raw weights for
-	// max-plus, w/kT (forbidden ⇒ -Inf) for the partition semiring.
+	// intermolecular matrix (n1×n2). All in the semiring's scale: raw weights
+	// for max-plus, w/kT (forbidden ⇒ -Inf) for the log-domain partition
+	// semiring, scaled Boltzmann factors (forbidden ⇒ 0) for the
+	// probability domain.
 	sc1, sc2, isc []T
 	n1, n2        int
+	// prob marks the scaled probability-domain view (⊕ = +, ⊗ = ×); the
+	// float64 solver picks its finalize body from it once per triangle.
+	prob bool
 }
 
 // maxplusAlg builds the tropical float32 view over a problem's own tables.
@@ -48,9 +58,9 @@ func maxplusAlg(p *Problem, unroll bool) alg[float32] {
 	}
 }
 
-// s1At returns S¹[i,j]; empty intervals (j < i) are One (0 in both
-// supported semirings — the zeroed lower triangle encodes it, but the
-// branch keeps out-of-band callers correct without relying on that).
+// s1At returns S¹[i,j]; empty intervals (j < i) are One. The branch keeps
+// callers independent of what the table stores below its diagonal (0, which
+// is One only in the additive-⊗ semirings).
 func (a *alg[T]) s1At(i, j int) T {
 	if j < i {
 		return a.k.One

@@ -58,7 +58,7 @@ type FTable = FTableOf[float32]
 // map is always packed row-major (outer triangles are touched
 // block-at-a-time, so bounding-box padding would buy nothing there). The
 // element type is the solving semiring's scalar: float32 for max-plus,
-// float64 for the log-sum-exp partition fill.
+// float64 for the partition fill (either domain).
 type FTableOf[T semiring.Scalar] struct {
 	N1, N2 int
 	Inner  tri.Map
@@ -69,6 +69,12 @@ type FTableOf[T semiring.Scalar] struct {
 	// fresh allocations).
 	kind MapKind
 	pl   *Pool
+	// scaled marks a partition table filled in the scaled probability
+	// domain: a cell holds Z·e^{-(len1·logS1 + len2·logS2)}, where len1 and
+	// len2 are the cell's interval lengths. PartitionLogAt undoes the scale
+	// on read; log-domain and max-plus tables leave these zero.
+	scaled       bool
+	logS1, logS2 float64
 }
 
 // NewFTable allocates a zeroed float32 table.

@@ -62,7 +62,7 @@ func TestPartitionVariantsAgree(t *testing.T) {
 					for j1 := i1; j1 < p.N1; j1++ {
 						for i2 := 0; i2 < p.N2; i2++ {
 							for j2 := i2; j2 < p.N2; j2++ {
-								closeRel(t, ref.At(i1, j1, i2, j2), got.At(i1, j1, i2, j2), 1e-9, v.String())
+								closeRel(t, PartitionLogAt(ref, i1, j1, i2, j2), PartitionLogAt(got, i1, j1, i2, j2), 1e-9, v.String())
 							}
 						}
 					}
@@ -93,7 +93,7 @@ func TestPartitionDominatesMaxPlus(t *testing.T) {
 			for j1 := i1; j1 < p.N1; j1++ {
 				for i2 := 0; i2 < p.N2; i2++ {
 					for j2 := i2; j2 < p.N2; j2++ {
-						logZ := pf.At(i1, j1, i2, j2)
+						logZ := PartitionLogAt(pf, i1, j1, i2, j2)
 						bound := float64(mf.At(i1, j1, i2, j2)) / kT
 						if math.IsInf(logZ, 0) || math.IsNaN(logZ) {
 							t.Fatalf("LogZ[%d,%d,%d,%d] = %v not finite", i1, j1, i2, j2, logZ)
@@ -214,7 +214,7 @@ func TestPartitionForbiddenStaysForbidden(t *testing.T) {
 		for j1 := i1; j1 < p.N1; j1++ {
 			for i2 := 0; i2 < p.N2; i2++ {
 				for j2 := i2; j2 < p.N2; j2++ {
-					if v := pf.At(i1, j1, i2, j2); v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+					if v := PartitionLogAt(pf, i1, j1, i2, j2); v < 0 || math.IsInf(v, 0) || math.IsNaN(v) {
 						t.Fatalf("F[%d,%d,%d,%d] = %v; want finite and >= 0 (the empty derivation)", i1, j1, i2, j2, v)
 					}
 				}

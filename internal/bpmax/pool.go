@@ -32,7 +32,8 @@ import (
 //
 // The arenas come in two element widths: the float32 set serves the
 // max-plus tables (the historical hot path, untouched by the algebra
-// refactor) and the float64 set serves the log-sum-exp partition tables.
+// refactor) and the float64 set serves the partition tables and the
+// scaled fill's per-fold factor scratch.
 // Each scalar has its own buffer arena and shell freelists so a mixed
 // workload never cross-pollutes classes; the reuse counters are shared
 // (a shell is a shell).
@@ -203,6 +204,7 @@ func poolNewFTable[T semiring.Scalar](pl *Pool, n1, n2 int, kind MapKind) *FTabl
 			f.kind = kind
 		}
 		f.N1, f.N2 = n1, n2
+		f.scaled, f.logS1, f.logS2 = false, 0, 0
 		f.data = pl.buf64.Get(tri.Count(n1) * f.isize)
 		f.pl = pl
 		return any(f).(*FTableOf[T])

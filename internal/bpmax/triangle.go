@@ -42,8 +42,10 @@ type gsolver[T semiring.Scalar] struct {
 	// finalizeBlk is the R1/R2+update pass for one triangle. The float32
 	// instantiation binds the hand-specialized max-plus body (branchy
 	// compares, no indirect ⊕ calls in the cell loop) so the hot path costs
-	// exactly what it did before the algebra became a type parameter; other
-	// scalars use the generic body.
+	// exactly what it did before the algebra became a type parameter. The
+	// float64 instantiation serves both partition views, so its closure
+	// picks per triangle: the specialised sum-product body for the scaled
+	// probability domain, the generic body for the log domain.
 	finalizeBlk func(blk []T, i1, j1 int)
 }
 
@@ -90,10 +92,21 @@ func (s *gsolver[T]) initTasks() {
 		copy(s.f.Block(i1, j1), s.scratch.Block(i1, j1))
 		s.finalizeBlk(s.f.Block(i1, j1), i1, j1)
 	}
-	s.finalizeBlk = s.finalizeGeneric
-	if sp, ok := any(s).(*solver); ok {
+	switch sp := any(s).(type) {
+	case *solver:
 		fb := func(blk []float32, i1, j1 int) { finalizeMaxPlusTriangle(sp, blk, i1, j1) }
 		s.finalizeBlk = any(fb).(func(blk []T, i1, j1 int))
+	case *gsolver[float64]:
+		fb := func(blk []float64, i1, j1 int) {
+			if sp.a.prob {
+				finalizeSumProductTriangle(sp, blk, i1, j1)
+				return
+			}
+			sp.finalizeGeneric(blk, i1, j1)
+		}
+		s.finalizeBlk = any(fb).(func(blk []T, i1, j1 int))
+	default:
+		s.finalizeBlk = s.finalizeGeneric
 	}
 }
 
@@ -300,15 +313,60 @@ func finalizeMaxPlusTriangle(s *solver, blk []float32, i1, j1 int) {
 	}
 }
 
+// finalizeSumProductTriangle is finalizeMaxPlusTriangle over the scaled
+// probability domain (⊕ = +, ⊗ = ×, float64): the same bottom-up,
+// left-to-right order and the same candidate set, each ⊕ a native add and
+// each ⊗ a native multiply. Every scaled factor already carries the
+// per-nucleotide scale of the bases it covers (see scaledPartitionAlg), so
+// the cell update needs no rescaling: the lengths of the ⊗ operands add up
+// to the cell's own.
+func finalizeSumProductTriangle(s *gsolver[float64], blk []float64, i1, j1 int) {
+	a := &s.a
+	n2 := a.n2
+	sc1 := a.score1(i1, j1)
+	s1Self := a.s1At(i1, j1)
+	for i2 := n2 - 1; i2 >= 0; i2-- {
+		grow := s.f.Row(blk, i2)
+		// R1, streamed over j2 from the already finalized rows below.
+		s2row := a.s2Row(i2)
+		for k2 := i2; k2 < n2-1; k2++ {
+			s.acc(grow[k2+1:n2], s.f.Row(blk, k2+1)[k2+1:n2], s2row[k2])
+		}
+		sc2row := a.sc2[i2*n2 : (i2+1)*n2]
+		for j2 := i2; j2 < n2; j2++ {
+			// Pair i1-j1 around the seq2 interval.
+			v := grow[j2] + s.atF(i1+1, j1-1, i2, j2)*sc1
+			if j2 > i2 {
+				// Pair i2-j2 around the seq1 interval.
+				inner := s1Self
+				if j2-1 >= i2+1 {
+					inner = s.f.Row(blk, i2+1)[j2-1]
+				}
+				v += inner * sc2row[j2]
+			} else if i1 == j1 {
+				// Singleton × singleton: the raw bond factor only (the
+				// unpaired alternative is already in the H seed).
+				v += a.inter(i1, i2)
+			}
+			grow[j2] = v
+			// R2: stream this finalized cell's contribution onward.
+			if j2 < n2-1 {
+				s.acc(grow[j2+1:n2], a.s2Row(j2 + 1)[j2+1:n2], v)
+			}
+		}
+	}
+}
+
 // finalizeGeneric is finalizeMaxPlusTriangle over an arbitrary scalar
-// semiring: the same bottom-up/left-to-right order with ⊕ through the
-// kernel bundle and ⊗ as native addition. The per-cell ⊕ goes through a
-// func value, which is why the float32 instantiation binds the specialized
-// body instead.
+// semiring: the same bottom-up/left-to-right order with ⊕ and ⊗ through the
+// kernel bundle. Both go through func values per cell — which is why the
+// hot instantiations bind specialised bodies instead; the log-domain
+// partition fill, whose ⊕ costs an exp and a log1p anyway, is the one
+// caller left (BenchmarkFinalizeTriangle measures the gap).
 func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 	a := &s.a
 	n2 := a.n2
-	add := a.k.Add
+	add, mul := a.k.Add, a.k.Mul
 	sc1 := a.score1(i1, j1)
 	s1Self := a.s1At(i1, j1)
 	for i2 := n2 - 1; i2 >= 0; i2-- {
@@ -321,14 +379,14 @@ func (s *gsolver[T]) finalizeGeneric(blk []T, i1, j1 int) {
 		for j2 := i2; j2 < n2; j2++ {
 			v := grow[j2]
 			// Pair i1-j1 around the seq2 interval.
-			v = add(s.atF(i1+1, j1-1, i2, j2)+sc1, v)
+			v = add(mul(s.atF(i1+1, j1-1, i2, j2), sc1), v)
 			if j2 > i2 {
 				// Pair i2-j2 around the seq1 interval.
 				inner := s1Self
 				if j2-1 >= i2+1 {
 					inner = s.f.Row(blk, i2+1)[j2-1]
 				}
-				v = add(inner+a.score2(i2, j2), v)
+				v = add(mul(inner, a.score2(i2, j2)), v)
 			} else if i1 == j1 {
 				// Singleton × singleton: only the raw bond weight — the
 				// unpaired alternative (One) is already in the accumulator

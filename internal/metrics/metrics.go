@@ -125,6 +125,11 @@ type FoldMetrics struct {
 	// Algebra records the evaluation semiring ("maxplus", "partition");
 	// empty on records from layers that predate the field.
 	Algebra string `json:"algebra,omitempty"`
+	// PartitionDomain records which domain a partition fill ended in
+	// ("scaled", or "log" for the base/reference schedules and the
+	// extreme-kT fallback, which costs an exp and a log1p per element);
+	// empty on max-plus folds.
+	PartitionDomain string `json:"partition_domain,omitempty"`
 }
 
 // Reset zeroes the struct for reuse by a pooled fold.
@@ -162,6 +167,7 @@ func (m *FoldMetrics) Snapshot() FoldSnapshot {
 		BudgetEstimateBytes: m.BudgetEstimateBytes,
 		Degraded:            m.Degraded,
 		Algebra:             m.Algebra,
+		PartitionDomain:     m.PartitionDomain,
 		GFLOPS:              m.GFLOPS(),
 		CellsPerSecond:      m.CellsPerSecond(),
 	}
@@ -191,6 +197,7 @@ type FoldSnapshot struct {
 	BudgetEstimateBytes int64                `json:"budget_estimate_bytes"`
 	Degraded            string               `json:"degraded"`
 	Algebra             string               `json:"algebra,omitempty"`
+	PartitionDomain     string               `json:"partition_domain,omitempty"`
 	GFLOPS              float64              `json:"gflops"`
 	CellsPerSecond      float64              `json:"cells_per_second"`
 }

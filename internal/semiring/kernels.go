@@ -19,7 +19,7 @@ type Scalar interface {
 // story reduces to the row-streaming update y[j] = y[j] ⊕ (a ⊗ x[j]); a
 // Kernels value supplies that update (Accum), its register-tiled dual-row
 // variant (AccumDual), the row initializer dst[j] = a ⊗ x[j] (MulInto),
-// and the scalar ⊕ for per-cell orchestration (Add).
+// and the scalar ⊕ and ⊗ for per-cell orchestration (Add, Mul).
 //
 // Tie-breaking contract: Add(candidate, accumulator) must return the
 // accumulator when the two compare equal, mirroring the specialized
@@ -32,6 +32,9 @@ type Kernels[T Scalar] struct {
 	Zero, One T
 	// Add is the scalar ⊕.
 	Add func(a, b T) T
+	// Mul is the scalar ⊗: native addition for the max-plus and log-domain
+	// sets, multiplication for the probability-domain set.
+	Mul func(a, b T) T
 	// Accum streams y[i] = y[i] ⊕ (a ⊗ x[i]) over the common prefix.
 	Accum func(y, x []T, a T)
 	// AccumDual applies one shared x stream to two destination rows.
@@ -58,11 +61,15 @@ func MaxPlusKernels(unroll bool) Kernels[float32] {
 			}
 			return b
 		},
+		Mul:       addF32,
 		Accum:     acc,
 		AccumDual: maxplus.AccumulateDual,
 		MulInto:   maxplus.AddScalarInto,
 	}
 }
+
+func addF32(a, b float32) float32 { return a + b }
+func addF64(a, b float64) float64 { return a + b }
 
 // lse is the numerically stable log(eᵃ + eᵇ). Identical to
 // LogSumExp.Add; duplicated here as a free function so the streaming
@@ -90,6 +97,7 @@ func LogSumExpKernels() Kernels[float64] {
 		Zero: math.Inf(-1),
 		One:  0,
 		Add:  lse,
+		Mul:  addF64,
 		Accum: func(y, x []float64, a float64) {
 			n := len(y)
 			if len(x) < n {
@@ -129,5 +137,76 @@ func LogSumExpKernels() Kernels[float64] {
 				dst[i] = a + x[i]
 			}
 		},
+	}
+}
+
+// SumProductKernels returns the probability-domain sum-product kernel set
+// over float64: ⊕ = +, ⊗ = ×. Fed Boltzmann factors e^{w/kT} (scaled so the
+// products stay inside float64's normal range; see package bpmax's
+// partition fill), it computes the same partition function as
+// LogSumExpKernels with a multiply-add per element instead of an exp and a
+// log1p. The streaming kernels are 4-way unrolled: every element is an
+// independent y += a·x, so the unroll only trims loop and bounds-check
+// overhead.
+func SumProductKernels() Kernels[float64] {
+	return Kernels[float64]{
+		Zero:      0,
+		One:       1,
+		Add:       addF64,
+		Mul:       func(a, b float64) float64 { return a * b },
+		Accum:     sumProductAccum,
+		AccumDual: sumProductAccumDual,
+		MulInto: func(dst, x []float64, a float64) {
+			n := len(dst)
+			if len(x) < n {
+				n = len(x)
+			}
+			x = x[:n]
+			dst = dst[:n]
+			for i := range dst {
+				dst[i] = a * x[i]
+			}
+		},
+	}
+}
+
+// sumProductAccum streams y[i] += a·x[i] over the common prefix.
+func sumProductAccum(y, x []float64, a float64) {
+	n := len(y)
+	if len(x) < n {
+		n = len(x)
+	}
+	x = x[:n]
+	y = y[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		x4 := x[i : i+4 : i+4]
+		y4 := y[i : i+4 : i+4]
+		y4[0] += a * x4[0]
+		y4[1] += a * x4[1]
+		y4[2] += a * x4[2]
+		y4[3] += a * x4[3]
+	}
+	for ; i < n; i++ {
+		y[i] += a * x[i]
+	}
+}
+
+// sumProductAccumDual applies one shared x stream to two destination rows.
+func sumProductAccumDual(y1, y2, x []float64, a1, a2 float64) {
+	n := len(x)
+	if len(y1) < n {
+		n = len(y1)
+	}
+	if len(y2) < n {
+		n = len(y2)
+	}
+	x = x[:n]
+	y1 = y1[:n]
+	y2 = y2[:n]
+	for i := range x {
+		v := x[i]
+		y1[i] += a1 * v
+		y2[i] += a2 * v
 	}
 }

@@ -368,7 +368,8 @@ func (rq request) foldCold(ctx context.Context, seq1, seq2 string) (*Result, err
 }
 
 // foldPartition is the AlgebraPartition tail of foldCold: Boltzmann
-// substrate → float64 log-sum-exp fill → LogZ finalize. The max-plus S¹/S²
+// substrate → float64 partition fill (scaled probability domain, log-domain
+// fallback) → LogZ finalize. The max-plus S¹/S²
 // substrates were already installed on p (SingleScore and the substrate
 // cache still serve them); this stage adds the scaled float64 set, shared
 // through the cache when one is configured.
@@ -415,6 +416,7 @@ func (rq request) foldPartition(ctx context.Context, p *ibpmax.Problem, res *Res
 	res.ps = ps
 	if rq.observed() {
 		res.Metrics.Algebra = string(AlgebraPartition)
+		res.Metrics.PartitionDomain = ibpmax.PartitionDomainOf(ft).String()
 		res.Metrics.FillNanos = int64(elapsed)
 		res.Metrics.Cells = ibpmax.CellElements(p.N1, p.N2)
 		res.Metrics.FLOPs = res.FLOPs
